@@ -1,30 +1,28 @@
-//! `BENCH_pr10.json` — perfect-hash match tables + software-pipelined
-//! batches.
+//! `BENCH_pr10.json` — perfect-hash match tables.
 //!
 //! PR 10 gives every `RtTable` a read-optimized hash-and-displace layout
 //! (single-probe exact-match lookups, control-plane mutations buffered in
-//! a delta overlay and folded in by epoch-tracked rebuilds) and
-//! software-pipelines the batch paths: a static prefetch projection of
-//! the pre traversal builds packet n+1's probe key and touches its layout
-//! slot while packet n resolves. This bin carries the proof obligations:
+//! a delta overlay and folded in by epoch-tracked rebuilds). The batch
+//! path it measures is a plain loop over the per-packet path. This bin
+//! carries the proof obligations:
 //!
 //! 1. **Differential suite** — every packaged middlebox deployed on the
 //!    compiled plan and on the reference AST interpreter, driven with the
 //!    same pseudo-random stream, must agree on every observable
 //!    (emissions, counters, state, evictions). A cache-mode run covers
 //!    the §7 replay path, a batch row checks `inject_batch_into` ≡
-//!    per-packet `inject` (the pipelined batch walk must not reorder or
-//!    coalesce), and a fused ≡ unfused row drives the same stream through
+//!    per-packet `inject` (the batch walk must not reorder or coalesce),
+//!    and a fused ≡ unfused row drives the same stream through
 //!    plans built with and without superinstruction fusion.
 //! 2. **Fast path** — ns/pkt of a warm MazuNAT flow through
 //!    `Deployment::inject`, reported against the PR 8 baseline of
 //!    256 ns/pkt (BENCH_pr8.json), plus per-middlebox rows.
-//! 3. **Batch throughput** — ns/pkt of the software-pipelined
-//!    `inject_batch_into` draining pre-built bursts through one warm
+//! 3. **Batch throughput** — ns/pkt of `inject_batch_into` draining
+//!    pre-built bursts through one warm
 //!    buffer, per middlebox, against the PR 8 batch baseline of
 //!    210 ns/pkt, with the allocations-per-packet count observed by this
 //!    process's counting global allocator (must be 0 on every warm
-//!    drain — including every layout probe and prefetch).
+//!    drain — including every layout probe).
 //! 4. **Table telemetry** — the `gallium.switchsim.table.rebuilds` /
 //!    `.probe` counters proving the timed lookups actually went through
 //!    the perfect-hash layout, not the fallback map.
@@ -43,10 +41,8 @@ use gallium_partition::SwitchModel;
 use gallium_server::CostModel;
 use gallium_switchsim::{ExecPlan, SwitchConfig};
 use gallium_telemetry::json_escape;
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// The PR 8 fast-path baseline this PR is measured against (ns/pkt for a
@@ -54,40 +50,11 @@ use std::time::Instant;
 const PR8_BASELINE_NS_PER_PKT: f64 = 256.0;
 
 /// The PR 8 warm batch baseline (ns/pkt through `inject_batch_into`
-/// before batch software pipelining; best-of-trials was 209).
+/// from BENCH_pr8.json; best-of-trials was 209).
 const PR8_BATCH_BASELINE_NS_PER_PKT: f64 = 210.0;
 
-/// System allocator wrapper counting every allocation, so the zero-alloc
-/// claim is measured in-process rather than asserted (frees are not
-/// counted — dropping consumed packets is fine; *acquiring* memory on the
-/// warm path is not).
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+#[path = "../counting_alloc.rs"]
+mod counting_alloc;
 
 /// Deterministic splitmix-style generator so both engines (and every CI
 /// run) see byte-identical traffic.
@@ -616,14 +583,15 @@ fn time_batch_path(
         let mut bursts: Vec<Vec<Packet>> = (0..bursts_per_trial)
             .map(|_| (0..BURST).map(|_| probe.deep_clone()).collect())
             .collect();
-        let a0 = ALLOCS.load(Ordering::SeqCst);
         let t0 = Instant::now();
-        for burst in bursts.drain(..) {
-            out.clear();
-            black_box(d.inject_batch_into(burst, &mut out).unwrap());
-        }
+        let ((), allocs) = counting_alloc::count(|| {
+            for burst in bursts.drain(..) {
+                out.clear();
+                black_box(d.inject_batch_into(burst, &mut out).unwrap());
+            }
+        });
         let dt = t0.elapsed().as_nanos() as u64;
-        total_allocs += ALLOCS.load(Ordering::SeqCst) - a0;
+        total_allocs += allocs;
         total_pkts += (bursts_per_trial * BURST) as u64;
         runs.push(dt / (bursts_per_trial * BURST) as u64);
     }

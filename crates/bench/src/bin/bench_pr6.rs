@@ -35,47 +35,16 @@ use gallium_partition::SwitchModel;
 use gallium_server::CostModel;
 use gallium_switchsim::SwitchConfig;
 use gallium_telemetry::json_escape;
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// The PR 3 fast-path baseline this PR is measured against (ns/pkt for a
 /// warm MazuNAT flow through the compiled plan, from BENCH_pr3.json).
 const PR3_BASELINE_NS_PER_PKT: f64 = 277.0;
 
-/// System allocator wrapper counting every allocation, so the zero-alloc
-/// claim is measured in-process rather than asserted (frees are not
-/// counted — dropping consumed packets is fine; *acquiring* memory on the
-/// warm path is not).
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+#[path = "../counting_alloc.rs"]
+mod counting_alloc;
 
 /// Deterministic splitmix-style generator so both engines (and every CI
 /// run) see byte-identical traffic.
@@ -430,14 +399,15 @@ fn time_batch_path(
         let mut bursts: Vec<Vec<Packet>> = (0..bursts_per_trial)
             .map(|_| (0..BURST).map(|_| probe.deep_clone()).collect())
             .collect();
-        let a0 = ALLOCS.load(Ordering::SeqCst);
         let t0 = Instant::now();
-        for burst in bursts.drain(..) {
-            out.clear();
-            black_box(d.inject_batch_into(burst, &mut out).unwrap());
-        }
+        let ((), allocs) = counting_alloc::count(|| {
+            for burst in bursts.drain(..) {
+                out.clear();
+                black_box(d.inject_batch_into(burst, &mut out).unwrap());
+            }
+        });
         let dt = t0.elapsed().as_nanos() as u64;
-        total_allocs += ALLOCS.load(Ordering::SeqCst) - a0;
+        total_allocs += allocs;
         total_pkts += (bursts_per_trial * BURST) as u64;
         runs.push(dt / (bursts_per_trial * BURST) as u64);
     }

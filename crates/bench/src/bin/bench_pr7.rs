@@ -27,10 +27,8 @@ use gallium_server::CostModel;
 use gallium_switchsim::SwitchConfig;
 use gallium_telemetry::names;
 use gallium_telemetry::trace::{EventKind, Hop};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// PR 6's measured warm fast path (BENCH_pr6.json) and the CI gate the
@@ -38,35 +36,8 @@ use std::time::Instant;
 const PR6_BASELINE_NS_PER_PKT: f64 = 265.0;
 const GATE_NS_PER_PKT: f64 = 277.0;
 
-/// System allocator wrapper counting every allocation, so the zero-alloc
-/// claims are measured in-process rather than asserted.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+#[path = "../counting_alloc.rs"]
+mod counting_alloc;
 
 const BURST: usize = 64;
 
@@ -114,14 +85,15 @@ fn time_warm_drain(
         let mut bursts: Vec<Vec<Packet>> = (0..bursts_per_trial)
             .map(|_| (0..BURST).map(|_| probe.deep_clone()).collect())
             .collect();
-        let a0 = ALLOCS.load(Ordering::SeqCst);
         let t0 = Instant::now();
-        for burst in bursts.drain(..) {
-            out.clear();
-            black_box(d.inject_batch_into(burst, &mut out).unwrap());
-        }
+        let ((), allocs) = counting_alloc::count(|| {
+            for burst in bursts.drain(..) {
+                out.clear();
+                black_box(d.inject_batch_into(burst, &mut out).unwrap());
+            }
+        });
         let dt = t0.elapsed().as_nanos() as u64;
-        total_allocs += ALLOCS.load(Ordering::SeqCst) - a0;
+        total_allocs += allocs;
         total_pkts += (bursts_per_trial * BURST) as u64;
         runs.push(dt / (bursts_per_trial * BURST) as u64);
     }

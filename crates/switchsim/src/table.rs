@@ -363,24 +363,6 @@ impl ReadLayout {
         let start = slot.val_start as usize;
         Some(&self.values[start..start + slot.val_len as usize])
     }
-
-    /// Prefetch the slot this key would probe. Reading the displacement
-    /// word and touching the slot line here is the point: by the time the
-    /// real probe runs, both are warm. The crate forbids `unsafe`, so
-    /// instead of a prefetch instruction this issues an early demand load
-    /// of the slot's tag byte through `black_box` — the out-of-order core
-    /// overlaps the line fill with whatever the caller does next exactly
-    /// as a software prefetch would.
-    #[inline]
-    fn prefetch(&self, key: &[u64]) {
-        if key.len() > INLINE_KEY_WORDS {
-            return;
-        }
-        let h = hash_key_words(key);
-        let b = layout_bucket_index(h, self.mask);
-        let s = layout_slot_index(h, self.disp[b], self.mask);
-        std::hint::black_box(self.slots[s].len);
-    }
 }
 
 /// Build a read layout over `main`, or `None` when a spilled key or a
@@ -595,17 +577,6 @@ impl RtTable {
     /// mutation).
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// Prefetch the layout slot `key` would probe, hiding the probe's
-    /// memory latency behind unrelated work (batch software pipelining).
-    /// Semantically a no-op; cheap and harmless even when the layout is
-    /// stale or inactive.
-    #[inline]
-    pub fn prefetch(&self, key: &[u64]) {
-        if let Some(layout) = &self.layout {
-            layout.prefetch(key);
-        }
     }
 
     /// Record one main-table mutation: bump the epoch and fold the change
