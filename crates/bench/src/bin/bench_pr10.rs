@@ -1,8 +1,9 @@
 //! `BENCH_pr10.json` — perfect-hash match tables.
 //!
 //! PR 10 gives every `RtTable` a read-optimized hash-and-displace layout
-//! (single-probe exact-match lookups, control-plane mutations buffered in
-//! a delta overlay and folded in by epoch-tracked rebuilds). The batch
+//! (single-probe exact-match lookups; each control-plane write updates the
+//! layout in place, and a full build happens only on growth, value-pool
+//! compaction, or a failed re-displacement). The batch
 //! path it measures is a plain loop over the per-packet path. This bin
 //! carries the proof obligations:
 //!
@@ -758,7 +759,8 @@ fn main() {
     // The timed MazuNAT deployment must have served its lookups through
     // the perfect-hash layout: the probe counter counts single-probe
     // layout hits only (fallback map lookups do not bump it), and the
-    // rebuild counter counts epoch-triggered layout rebuilds.
+    // rebuild counter counts full layout builds (growth, compaction, or a
+    // failed re-displacement) — in-place writes do not count.
     let snap = cases[0].d.telemetry_snapshot();
     let table_rebuilds = snap
         .counter("gallium.switchsim.table.rebuilds")

@@ -110,11 +110,6 @@ pub struct Switch {
     plan: Option<ExecPlan>,
     /// Per-switch scratch reused across packets on the plan path.
     scratch: PlanScratch,
-    /// Set by [`Switch::table_mut`] (the control-plane mutation doorway);
-    /// cleared at the top of [`Switch::process_into`] after re-flattening
-    /// every table's read layout, so steady-state packets probe a clean
-    /// perfect-hash array with the delta overlay empty.
-    tables_dirty: bool,
     tables: Vec<RtTable>,
     registers: Vec<u64>,
     pub(crate) wb_active: bool,
@@ -230,7 +225,6 @@ impl Switch {
             cfg,
             plan,
             scratch,
-            tables_dirty: false,
             tables,
             registers,
             wb_active: false,
@@ -292,12 +286,11 @@ impl Switch {
         self.routes.insert(daddr, port);
     }
 
-    /// Runtime table access (tests and the control plane). Marks the
-    /// table set dirty: the next packet re-flattens any mutated read
-    /// layouts before probing (see [`RtTable::flush_layout`]).
+    /// Runtime table access (tests and the control plane). Writes through
+    /// it update the table's perfect-hash read layout in place, so the
+    /// next packet probes the current entries with nothing to fold in.
     pub fn table_mut(&mut self, name: &str) -> Option<&mut RtTable> {
         let i = self.prog.tables.iter().position(|t| t.name == name)?;
-        self.tables_dirty = true;
         Some(&mut self.tables[i])
     }
 
@@ -376,7 +369,7 @@ impl Switch {
             rebuilds += rt.stats.rebuilds.get();
             probes += rt.stats.probes.get();
         }
-        // Aggregates across all tables: perfect-hash layout rebuild count
+        // Aggregates across all tables: full perfect-hash layout builds
         // and one-shot probes served by the flat layout.
         snap.set_counter(names::TABLE_REBUILDS, rebuilds);
         snap.set_counter(names::TABLE_PROBES, probes);
@@ -398,15 +391,6 @@ impl Switch {
     /// Process one packet, appending `(egress port, frame)` pairs to
     /// `out` — the allocation-reusing core of [`Switch::process`].
     pub fn process_into(&mut self, pkt: Packet, out: &mut Vec<(PortId, Packet)>) {
-        // Control-plane mutations since the last packet dirty the read
-        // layouts; re-flatten once here so the steady state pays a single
-        // predicted-untaken branch and every probe below is one-shot.
-        if self.tables_dirty {
-            for t in &mut self.tables {
-                t.flush_layout();
-            }
-            self.tables_dirty = false;
-        }
         if self.plan.is_some() {
             self.process_planned(pkt, out);
         } else {

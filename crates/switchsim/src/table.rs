@@ -1,14 +1,15 @@
 //! Runtime match-action tables with write-back shadows (§4.3.3).
 //!
 //! Control-plane mutations land in an ordinary `HashMap`; the data plane
-//! reads through a rebuilt [`ReadLayout`] — a flat, open-addressed
-//! perfect-hash array (hash-and-displace over [`FxHasher64`]) holding the
-//! inline key lanes and value offsets in one contiguous allocation, so a
-//! warm exact-match probe touches exactly one slot with no bucket-chain
-//! pointer chases. Mutations between rebuilds accumulate in a small delta
-//! overlay; the layout is rebuilt incrementally on mutation epochs (or
-//! eagerly via [`RtTable::flush_layout`], which the switch calls before
-//! dataplane processing).
+//! reads through a [`ReadLayout`] — a flat, open-addressed perfect-hash
+//! array (hash-and-displace over [`FxHasher64`]) holding the inline key
+//! lanes and value offsets in one contiguous allocation, so a warm
+//! exact-match probe touches exactly one slot with no bucket-chain pointer
+//! chases. Every control-plane write updates the layout in place, the way
+//! an RMT table write rewrites one entry: a new key takes its slot (or
+//! re-displaces just its own bucket), an overwrite rewrites the value, a
+//! delete clears the slot. A full build happens only on growth, value-pool
+//! compaction, or a failed re-displacement — amortised O(1) per write.
 
 use crate::fasthash::{FastBuildHasher, FxHasher64};
 use std::borrow::Borrow;
@@ -237,7 +238,9 @@ pub struct TableStats {
     pub misses: TableCounter,
     /// Entries displaced by cache-mode FIFO replacement (§7).
     pub evictions: TableCounter,
-    /// Perfect-hash read-layout rebuilds (control-plane side).
+    /// Full perfect-hash read-layout builds (control-plane side): growth,
+    /// value-pool compaction, a failed re-displacement, or the delete of
+    /// the last spilled key. Ordinary writes update the layout in place.
     pub rebuilds: TableCounter,
     /// Exact-match lookups served by the perfect-hash read layout.
     pub probes: TableCounter,
@@ -250,17 +253,22 @@ const LAYOUT_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 /// table keeps serving lookups from the hash map.
 const LAYOUT_BUILD_ATTEMPTS: usize = 4;
 
-/// Displacement values tried per bucket before growing the slot array.
+/// Displacement values tried per bucket: during a full build before the
+/// slot array grows, during an in-place insert before the table falls
+/// back to a full build.
 const LAYOUT_DISP_TRIES: u32 = 256;
 
-/// Delta-overlay entries that trigger an automatic layout rebuild (the
-/// effective threshold scales with table size; see
-/// [`RtTable::note_mutation`]).
-const LAYOUT_DELTA_MAX: usize = 16;
+/// Largest bucket (resident members plus the key being inserted) an
+/// in-place insert re-displaces on the stack; bigger buckets take a full
+/// build.
+const LAYOUT_BUCKET_MAX: usize = 8;
 
 /// `len` sentinel marking an unoccupied layout slot (no real key has more
 /// than [`INLINE_KEY_WORDS`] words here).
 const LAYOUT_EMPTY: u8 = u8::MAX;
+
+/// End of a bucket's member list (`LayoutSlot::next`, `WriteSide::head`).
+const LAYOUT_NIL: u32 = u32::MAX;
 
 /// Hash of a key's words for the read layout. Folds the length first so
 /// `[1]` and `[1, 0]` (distinct keys) never share a hash by construction.
@@ -302,7 +310,12 @@ struct LayoutSlot {
     val_start: u32,
     /// Number of value words.
     val_len: u32,
+    /// Next slot holding a key of the same bucket, or [`LAYOUT_NIL`].
+    next: u32,
 }
+
+// `next` lives in what was padding: a slot stays 48 bytes.
+const _: () = assert!(std::mem::size_of::<LayoutSlot>() == 48);
 
 impl LayoutSlot {
     const EMPTY: LayoutSlot = LayoutSlot {
@@ -310,6 +323,7 @@ impl LayoutSlot {
         words: [0; INLINE_KEY_WORDS],
         val_start: 0,
         val_len: 0,
+        next: LAYOUT_NIL,
     };
 }
 
@@ -317,9 +331,17 @@ impl LayoutSlot {
 ///
 /// A lookup is: hash the key words, read one displacement word, probe one
 /// slot, compare the inline lanes — at most one slot touched, zero bucket
-/// chains, zero allocation. Built from the main hash map by
-/// [`RtTable::rebuild_layout`]; tables holding any spilled (wider than
-/// [`INLINE_KEY_WORDS`]) key fall back to hash-map serving.
+/// chains, zero allocation. Built in full from the main hash map by
+/// [`build_layout`] and then kept current write by write
+/// ([`ReadLayout::insert`], [`ReadLayout::remove`]); tables holding any
+/// spilled (wider than [`INLINE_KEY_WORDS`]) key fall back to hash-map
+/// serving.
+///
+/// Values live in fixed chunks of [`WriteSide::stride`] words, as many as
+/// there are slots, handed out from a free list: a value no wider than
+/// [`WriteSide::width`] never moves or leaks when its key comes and goes,
+/// even when re-displacement moves its slot. Wider values are appended
+/// past the chunks and become garbage when released.
 #[derive(Debug, Clone)]
 struct ReadLayout {
     /// `slot count - 1` (slot count is a power of two; bucket count equals
@@ -329,8 +351,33 @@ struct ReadLayout {
     disp: Box<[u32]>,
     /// The open-addressed slot array.
     slots: Box<[LayoutSlot]>,
-    /// All values, concatenated; slots index into this pool.
-    values: Box<[u64]>,
+    /// All values: `slots.len()` chunks, then the overflow values wider
+    /// than a chunk. Slots index into this pool.
+    values: Vec<u64>,
+    /// Write-side bookkeeping, boxed so the fields a probe reads stay
+    /// together.
+    write: Box<WriteSide>,
+}
+
+/// The parts of a [`ReadLayout`] only control-plane writes touch.
+#[derive(Debug, Clone)]
+struct WriteSide {
+    /// Per-bucket member lists, threaded through [`LayoutSlot::next`]: the
+    /// keys an in-place insert has to re-displace with its bucket.
+    head: Box<[u32]>,
+    /// Widest value that fits a chunk (the widest value at build time).
+    width: usize,
+    /// Chunk size in words: `width`, but at least 1 so a chunk's index is
+    /// its offset divided by `stride`.
+    stride: usize,
+    /// Unused chunk indices, reserved at build to hold every chunk so
+    /// releasing one does not allocate.
+    free: Vec<u32>,
+    /// Occupied slots.
+    live: usize,
+    /// Dead overflow words; a full build compacts them away once they
+    /// exceed half the pool.
+    garbage: usize,
 }
 
 impl ReadLayout {
@@ -362,6 +409,176 @@ impl ReadLayout {
         }
         let start = slot.val_start as usize;
         Some(&self.values[start..start + slot.val_len as usize])
+    }
+
+    /// Slot holding the inline `key` (layout hash `h`), if resident.
+    fn find(&self, key: &[u64], h: u64) -> Option<usize> {
+        let b = layout_bucket_index(h, self.mask);
+        let s = layout_slot_index(h, self.disp[b], self.mask);
+        let slot = &self.slots[s];
+        (slot.len != LAYOUT_EMPTY && &slot.words[..usize::from(slot.len)] == key).then_some(s)
+    }
+
+    /// Write `key → value` in place: overwrite a resident key's value, or
+    /// give a new key its slot, re-displacing only its own bucket when that
+    /// slot is taken. `false` when only a full build can take the write:
+    /// the load would exceed ½, the bucket cannot be re-displaced, or the
+    /// value pool is due for compaction.
+    fn insert(&mut self, key: &[u64], value: &[u64]) -> bool {
+        let h = hash_key_words(key);
+        let s = match self.find(key, h) {
+            Some(s) => {
+                let LayoutSlot {
+                    val_start, val_len, ..
+                } = self.slots[s];
+                let old = val_len as usize;
+                if value.len() != old && (value.len() > self.write.width || old > self.write.width)
+                {
+                    self.release_value(val_start, val_len);
+                    self.slots[s].val_start = self.alloc_value(value.len());
+                }
+                s
+            }
+            None => {
+                if (self.write.live + 1) * 2 > self.slots.len() {
+                    return false;
+                }
+                let b = layout_bucket_index(h, self.mask);
+                let home = layout_slot_index(h, self.disp[b], self.mask);
+                let s = if self.slots[home].len == LAYOUT_EMPTY {
+                    home
+                } else {
+                    match self.redisplace(b, h) {
+                        Some(s) => s,
+                        None => return false,
+                    }
+                };
+                let mut words = [0u64; INLINE_KEY_WORDS];
+                words[..key.len()].copy_from_slice(key);
+                let val_start = self.alloc_value(value.len());
+                self.slots[s] = LayoutSlot {
+                    len: key.len() as u8,
+                    words,
+                    val_start,
+                    val_len: 0,
+                    next: self.write.head[b],
+                };
+                self.write.head[b] = s as u32;
+                self.write.live += 1;
+                s
+            }
+        };
+        let slot = &mut self.slots[s];
+        slot.val_len = value.len() as u32;
+        let start = slot.val_start as usize;
+        self.values[start..start + value.len()].copy_from_slice(value);
+        self.write.garbage * 2 <= self.values.len()
+    }
+
+    /// Find a displacement for bucket `b` that places its resident members
+    /// and a new key of hash `h` in slots that are free or already the
+    /// bucket's own, move the members there, and return the new key's
+    /// (still empty) slot. `None` when the bucket is too big for the stack
+    /// or no displacement fits.
+    fn redisplace(&mut self, b: usize, h: u64) -> Option<usize> {
+        // (current slot, hash) per member; the new key goes last.
+        let mut members = [(0usize, 0u64); LAYOUT_BUCKET_MAX];
+        let mut m = 0;
+        let mut cur = self.write.head[b];
+        while cur != LAYOUT_NIL {
+            if m + 1 == LAYOUT_BUCKET_MAX {
+                return None;
+            }
+            let slot = &self.slots[cur as usize];
+            members[m] = (
+                cur as usize,
+                hash_key_words(&slot.words[..usize::from(slot.len)]),
+            );
+            m += 1;
+            cur = slot.next;
+        }
+        members[m].1 = h;
+        let mut targets = [0usize; LAYOUT_BUCKET_MAX];
+        'disp: for d in 0..LAYOUT_DISP_TRIES {
+            for (i, &(_, hi)) in members[..=m].iter().enumerate() {
+                let t = layout_slot_index(hi, d, self.mask);
+                let taken =
+                    self.slots[t].len != LAYOUT_EMPTY && !members[..m].iter().any(|&(s, _)| s == t);
+                if taken || targets[..i].contains(&t) {
+                    continue 'disp;
+                }
+                targets[i] = t;
+            }
+            // Lift every member out first: a target may be another
+            // member's old slot.
+            let mut moved = [LayoutSlot::EMPTY; LAYOUT_BUCKET_MAX];
+            for (lifted, &(s, _)) in moved.iter_mut().zip(&members[..m]) {
+                *lifted = std::mem::replace(&mut self.slots[s], LayoutSlot::EMPTY);
+            }
+            self.write.head[b] = LAYOUT_NIL;
+            for (slot, &t) in moved[..m].iter_mut().zip(&targets) {
+                slot.next = self.write.head[b];
+                self.slots[t] = *slot;
+                self.write.head[b] = t as u32;
+            }
+            self.disp[b] = d;
+            return Some(targets[m]);
+        }
+        None
+    }
+
+    /// Clear `key`'s slot and unlink it from its bucket. `false` when the
+    /// value pool is due for compaction (or the key was not resident,
+    /// which would mean the layout had drifted from the map).
+    fn remove(&mut self, key: &[u64]) -> bool {
+        let h = hash_key_words(key);
+        let Some(s) = self.find(key, h) else {
+            return false;
+        };
+        let b = layout_bucket_index(h, self.mask);
+        let LayoutSlot {
+            val_start,
+            val_len,
+            next,
+            ..
+        } = self.slots[s];
+        if self.write.head[b] == s as u32 {
+            self.write.head[b] = next;
+        } else {
+            let mut p = self.write.head[b] as usize;
+            while self.slots[p].next != s as u32 {
+                p = self.slots[p].next as usize;
+            }
+            self.slots[p].next = next;
+        }
+        self.release_value(val_start, val_len);
+        self.slots[s] = LayoutSlot::EMPTY;
+        self.write.live -= 1;
+        self.write.garbage * 2 <= self.values.len()
+    }
+
+    /// Storage for a `len`-word value: a free chunk when it fits one, else
+    /// the end of the overflow.
+    fn alloc_value(&mut self, len: usize) -> u32 {
+        if len <= self.write.width {
+            // At most half the slots are live, so a chunk is always free.
+            let chunk = self.write.free.pop().expect("a free chunk per free slot");
+            (chunk as usize * self.write.stride) as u32
+        } else {
+            let start = self.values.len();
+            self.values.resize(start + len, 0);
+            start as u32
+        }
+    }
+
+    /// Give back a value's storage: its chunk, or its overflow words as
+    /// garbage.
+    fn release_value(&mut self, start: u32, len: u32) {
+        if len as usize <= self.write.width {
+            self.write.free.push(start / self.write.stride as u32);
+        } else {
+            self.write.garbage += len as usize;
+        }
     }
 }
 
@@ -424,29 +641,51 @@ fn try_build_layout(entries: &[(u64, &TableKey, &Vec<u64>)], nslots: usize) -> O
             return None;
         }
     }
+    // Resident values take the leading chunks in slot order, so they sit
+    // packed together as in a plain concatenated pool; the rest start out
+    // free, lowest first.
+    let width = entries.iter().map(|(_, _, v)| v.len()).max().unwrap_or(0);
+    let stride = width.max(1);
     let mut slots = vec![LayoutSlot::EMPTY; nslots].into_boxed_slice();
-    let mut values = Vec::new();
+    let mut head = vec![LAYOUT_NIL; nslots].into_boxed_slice();
+    let mut values = vec![0u64; nslots * stride];
+    let mut chunk = 0;
     for (s, &e) in slot_entry.iter().enumerate() {
         if e == u32::MAX {
             continue;
         }
-        let (_, key, value) = entries[e as usize];
+        let (h, key, value) = entries[e as usize];
         let kslice = key.as_slice();
         let mut words = [0u64; INLINE_KEY_WORDS];
         words[..kslice.len()].copy_from_slice(kslice);
+        let b = layout_bucket_index(h, mask);
+        let start = chunk * stride;
+        values[start..start + value.len()].copy_from_slice(value);
         slots[s] = LayoutSlot {
             len: kslice.len() as u8,
             words,
-            val_start: values.len() as u32,
+            val_start: start as u32,
             val_len: value.len() as u32,
+            next: head[b],
         };
-        values.extend_from_slice(value);
+        head[b] = s as u32;
+        chunk += 1;
     }
+    let mut free = Vec::with_capacity(nslots);
+    free.extend((chunk as u32..nslots as u32).rev());
     Some(ReadLayout {
         mask,
         disp,
         slots,
-        values: values.into_boxed_slice(),
+        values,
+        write: Box::new(WriteSide {
+            head,
+            width,
+            stride,
+            free,
+            live: entries.len(),
+            garbage: 0,
+        }),
     })
 }
 
@@ -504,19 +743,12 @@ pub struct RtTable {
     /// entries and the key width. Exact lookups are bypassed.
     lpm: Option<(u8, Vec<LpmEntry>)>,
     /// Perfect-hash read layout serving exact-match lookups; `None` while
-    /// a spilled key or displacement failure forces hash-map serving.
-    /// Invariant while `Some`: `layout` overlaid with `delta` is
-    /// observation-equivalent to `main`.
+    /// a spilled key (or a failed build) forces hash-map serving.
+    /// Invariant while `Some`: observation-equivalent to `main`.
     layout: Option<ReadLayout>,
-    /// Mutations since the last rebuild: `Some` overrides the layout,
-    /// `None` tombstones a layout entry. Consulted (cheaply, behind one
-    /// `is_empty` branch) before every layout probe; cleared on rebuild.
-    delta: HashMap<TableKey, Option<Vec<u64>>, FastBuildHasher>,
-    /// Control-plane mutation epoch: bumped once per main-table mutation.
-    epoch: u64,
-    /// Epoch the layout was last rebuilt at (stale ⇒ `flush_layout`
-    /// re-attempts the build).
-    layout_epoch: u64,
+    /// Resident keys wider than [`INLINE_KEY_WORDS`]; the layout is off
+    /// while any is resident.
+    spilled: usize,
     /// Hit/miss/eviction/rebuild/probe counters.
     pub stats: TableStats,
 }
@@ -535,30 +767,15 @@ impl RtTable {
             order: VecDeque::new(),
             lpm: None,
             layout: build_layout(&HashMap::default()),
-            delta: HashMap::default(),
-            epoch: 0,
-            layout_epoch: 0,
+            spilled: 0,
             stats: TableStats::default(),
         }
     }
 
-    /// Rebuild the perfect-hash read layout from `main` and clear the
-    /// delta overlay. Called automatically when the overlay grows past its
-    /// threshold and from [`RtTable::flush_layout`].
+    /// Build the perfect-hash read layout from `main` in full.
     fn rebuild_layout(&mut self) {
-        self.delta.clear();
         self.layout = build_layout(&self.main);
-        self.layout_epoch = self.epoch;
         self.stats.rebuilds.inc();
-    }
-
-    /// Make the read layout current if any mutation is outstanding. The
-    /// switch calls this before dataplane processing so steady-state
-    /// lookups always take the single-probe path with an empty delta.
-    pub fn flush_layout(&mut self) {
-        if self.layout_epoch != self.epoch {
-            self.rebuild_layout();
-        }
     }
 
     /// True when exact-match lookups are currently served by the
@@ -567,37 +784,36 @@ impl RtTable {
         self.layout.is_some()
     }
 
-    /// Number of mutations buffered in the delta overlay since the last
-    /// layout rebuild.
-    pub fn pending_delta(&self) -> usize {
-        self.delta.len()
-    }
-
-    /// The control-plane mutation epoch (bumped once per main-table
-    /// mutation).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Record one main-table mutation: bump the epoch and fold the change
-    /// into the delta overlay (or rebuild outright — spilled keys force
-    /// hash-map serving, and an oversized overlay is amortized away).
-    fn note_mutation(&mut self, key: TableKey, staged: Option<Vec<u64>>) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.layout.is_none() {
-            // Hash-map serving: `main` is probed directly, so there is
-            // nothing to overlay. `flush_layout` re-attempts the build.
+    /// Mirror an insert or overwrite of `key` (already applied to `main`)
+    /// into the read layout: in place when possible, else by a full build
+    /// from `main`. A spilled key switches the layout off instead.
+    fn layout_insert(&mut self, key: &TableKey, present: bool) {
+        if key.len() > INLINE_KEY_WORDS {
+            self.spilled += usize::from(!present);
+            self.layout = None;
             return;
         }
-        if matches!(key, TableKey::Spilled(_)) {
-            // Invariant: an active layout means every resident *and*
-            // overlaid key is inline. Rebuild now (which bails to map
-            // serving) rather than track spilled keys in the delta.
+        let in_place = match (&mut self.layout, self.main.get(key)) {
+            (Some(layout), Some(value)) => layout.insert(key.as_slice(), value),
+            _ => false,
+        };
+        if !in_place && self.spilled == 0 {
             self.rebuild_layout();
-            return;
         }
-        self.delta.insert(key, staged);
-        if self.delta.len() >= LAYOUT_DELTA_MAX.max(self.main.len() / 8) {
+    }
+
+    /// Mirror the removal of a resident `key` (already gone from `main`)
+    /// into the read layout. The delete of the last spilled key brings the
+    /// layout back.
+    fn layout_remove(&mut self, key: &[u64]) {
+        if key.len() > INLINE_KEY_WORDS {
+            self.spilled -= 1;
+        } else if let Some(layout) = &mut self.layout {
+            if layout.remove(key) {
+                return;
+            }
+        }
+        if self.spilled == 0 {
             self.rebuild_layout();
         }
     }
@@ -733,26 +949,20 @@ impl RtTable {
         // probes). Wider keys keep the allocation-free slice probe.
         //
         // Probe order: write-back shadow (only while the visibility bit is
-        // set) → delta overlay (one `is_empty` branch when no mutation is
-        // outstanding) → single perfect-hash layout probe. Tables without
-        // an active layout (spilled keys, displacement failure) fall back
-        // to the main hash map.
+        // set) → single perfect-hash layout probe. Tables without an
+        // active layout (spilled keys, build failure) fall back to the
+        // main hash map.
         if key.len() <= INLINE_KEY_WORDS {
             // The stack-only probe key is built lazily inside each cold
-            // branch: the steady state (write-back bit clear, delta
-            // folded, layout active) goes straight to the single
-            // perfect-hash probe without copying the key words at all.
+            // branch: the steady state (write-back bit clear, layout
+            // active) goes straight to the single perfect-hash probe
+            // without copying the key words at all.
             if wb_active {
                 if let Some(staged) = self.shadow.get(&TableKey::from(key)) {
                     return staged.as_deref();
                 }
             }
             if let Some(layout) = &self.layout {
-                if !self.delta.is_empty() {
-                    if let Some(staged) = self.delta.get(&TableKey::from(key)) {
-                        return staged.as_deref();
-                    }
-                }
                 self.stats.probes.inc();
                 return layout.get(key);
             }
@@ -765,7 +975,7 @@ impl RtTable {
         }
         if self.layout.is_some() {
             // An active layout guarantees every resident key is inline
-            // (spilled inserts rebuild immediately), so a wide probe is a
+            // (a spilled insert switches it off), so a wide probe is a
             // definite miss.
             self.stats.probes.inc();
             return None;
@@ -797,7 +1007,7 @@ impl RtTable {
                 match self.order.pop_front() {
                     Some(old) => {
                         self.main.remove(old.as_slice());
-                        self.note_mutation(old.clone(), None);
+                        self.layout_remove(old.as_slice());
                         evicted.push(old.to_vec());
                     }
                     None => {
@@ -815,8 +1025,8 @@ impl RtTable {
             // its slot in the order queue.
             self.order.push_back(key.clone());
         }
-        self.main.insert(key.clone(), value.clone());
-        self.note_mutation(key, Some(value));
+        self.main.insert(key.clone(), value);
+        self.layout_insert(&key, present);
         self.stats.evictions.add(evicted.len() as u64);
         Ok(evicted)
     }
@@ -827,10 +1037,14 @@ impl RtTable {
     /// control plane's newest word on it, and a staged update left behind
     /// would resurrect the key at the next write-back commit (and keep
     /// serving it while the visibility bit is set).
+    /// Deleting an absent key touches nothing else: no layout write, no
+    /// rebuild, no scan of the FIFO order.
     pub fn delete_main(&mut self, key: &[u64]) {
-        self.main.remove(key);
         self.shadow.remove(key);
-        self.note_mutation(TableKey::from(key), None);
+        if self.main.remove(key).is_none() {
+            return;
+        }
+        self.layout_remove(key);
         if self.evict_fifo {
             self.order.retain(|k| k.as_slice() != key);
         }
@@ -1230,32 +1444,87 @@ mod tests {
         for i in 0..200u64 {
             t.insert_main(vec![i, i + 1], vec![i * 10]).unwrap();
         }
-        t.flush_layout();
-        assert_eq!(t.pending_delta(), 0);
         let probes_before = t.stats.probes.get();
         for i in 0..200u64 {
             assert_eq!(t.lookup(&[i, i + 1], false), Some(vec![i * 10]));
         }
         assert_eq!(t.lookup(&[999, 999], false), None);
         assert_eq!(t.stats.probes.get() - probes_before, 201);
+        // Filling from empty grows the slot array a few times.
         assert!(t.stats.rebuilds.get() > 0);
 
-        // Mutations are visible immediately through the delta overlay…
-        t.insert_main(vec![7, 8], vec![777]).unwrap();
-        t.delete_main(&[3, 4]);
-        assert!(t.pending_delta() > 0);
-        assert_eq!(t.lookup(&[7, 8], false), Some(vec![777]));
-        assert_eq!(t.lookup(&[3, 4], false), None);
-        // …and survive the flush-time rebuild bit-identically.
-        t.flush_layout();
-        assert_eq!(t.pending_delta(), 0);
-        assert_eq!(t.lookup(&[7, 8], false), Some(vec![777]));
-        assert_eq!(t.lookup(&[3, 4], false), None);
-        assert_eq!(t.lookup(&[5, 6], false), Some(vec![50]));
-        // `flush_layout` with no outstanding mutation is a no-op.
+        // 200 keys sit in 512 slots: a new key, an overwrite, and a delete
+        // are written in place — visible at once, with no full build.
         let rebuilds = t.stats.rebuilds.get();
-        t.flush_layout();
+        t.insert_main(vec![7, 7], vec![777]).unwrap();
+        t.insert_main(vec![5, 6], vec![55]).unwrap();
+        t.delete_main(&[3, 4]);
+        assert_eq!(t.lookup(&[7, 7], false), Some(vec![777]));
+        assert_eq!(t.lookup(&[5, 6], false), Some(vec![55]));
+        assert_eq!(t.lookup(&[3, 4], false), None);
+        assert_eq!(t.lookup(&[8, 9], false), Some(vec![80]));
         assert_eq!(t.stats.rebuilds.get(), rebuilds);
+        assert!(t.layout_active());
+    }
+
+    #[test]
+    fn delete_of_absent_key_costs_nothing() {
+        let mut t = RtTable::new(16);
+        t.make_cache(4);
+        for k in 1..=3u64 {
+            t.insert_main(vec![k], vec![k * 10]).unwrap();
+        }
+        let rebuilds = t.stats.rebuilds.get();
+        let order: Vec<TableKey> = t.order.iter().cloned().collect();
+        t.delete_main(&[99]);
+        t.delete_main(&[1, 2, 3, 4, 5, 6]);
+        assert_eq!(t.stats.rebuilds.get(), rebuilds);
+        assert!(t.layout_active());
+        assert!(t.order.iter().eq(order.iter()), "FIFO order untouched");
+        assert_eq!(t.len(), 3);
+        for k in 1..=3u64 {
+            assert_eq!(t.lookup(&[k], false), Some(vec![k * 10]));
+        }
+    }
+
+    #[test]
+    fn in_place_writes_survive_redisplacement_and_value_resizing() {
+        // Steady-size churn over a few hundred keys: many inserts land on
+        // an occupied slot and re-displace their bucket. Values change
+        // width (including past the chunk width, into the overflow), so
+        // every storage path is exercised; a fresh full build must agree
+        // with the in-place layout on every key.
+        let mut t = RtTable::new(1 << 10);
+        let mut model = std::collections::HashMap::new();
+        let mut x = 0x1234_5678_9abc_def0u64;
+        for step in 0..4000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let key = vec![x % 400, 7];
+            if x.is_multiple_of(3) {
+                t.delete_main(&key);
+                model.remove(&key);
+            } else {
+                let value: Vec<u64> = (0..(x >> 20) % 4).map(|i| step + i).collect();
+                t.insert_main(key.clone(), value.clone()).unwrap();
+                model.insert(key, value);
+            }
+        }
+        assert!(t.layout_active());
+        let rebuilds = t.stats.rebuilds.get();
+        assert!(rebuilds < 40, "{rebuilds} full builds for 4000 writes");
+        for k in 0..400u64 {
+            let key = [k, 7];
+            assert_eq!(
+                t.lookup_ref(&key, false),
+                model.get(&key[..]).map(Vec::as_slice)
+            );
+        }
+        let fresh = build_layout(&t.main).expect("inline keys build");
+        for k in 0..400u64 {
+            assert_eq!(fresh.get(&[k, 7]), t.layout.as_ref().unwrap().get(&[k, 7]));
+        }
     }
 
     #[test]
@@ -1264,17 +1533,22 @@ mod tests {
         t.insert_main(vec![1], vec![10]).unwrap();
         assert!(t.layout_active());
         let wide = vec![1u64, 2, 3, 4, 5, 6];
+        let wide2 = vec![9u64, 2, 3, 4, 5, 6];
         t.insert_main(wide.clone(), vec![42]).unwrap();
+        t.insert_main(wide2.clone(), vec![43]).unwrap();
         assert!(!t.layout_active());
         assert_eq!(t.lookup(&wide, false), Some(vec![42]));
         assert_eq!(t.lookup(&[1], false), Some(vec![10]));
-        t.flush_layout();
-        assert!(!t.layout_active());
-        // Deleting the spilled key lets the next flush restore the layout.
+        // Inline writes while a spilled key is resident go to the map only.
+        t.insert_main(vec![2], vec![20]).unwrap();
+        t.insert_main(wide.clone(), vec![44]).unwrap();
         t.delete_main(&wide);
-        t.flush_layout();
+        assert!(!t.layout_active(), "one spilled key is still resident");
+        // The delete of the last spilled key brings the layout back itself.
+        t.delete_main(&wide2);
         assert!(t.layout_active());
         assert_eq!(t.lookup(&[1], false), Some(vec![10]));
+        assert_eq!(t.lookup(&[2], false), Some(vec![20]));
         assert_eq!(t.lookup(&wide, false), None);
     }
 
@@ -1282,7 +1556,6 @@ mod tests {
     fn layout_respects_shadow_and_tombstones() {
         let mut t = RtTable::new(8);
         t.insert_main(vec![1], vec![10]).unwrap();
-        t.flush_layout();
         t.stage(vec![1], None);
         t.stage(vec![2], Some(vec![20]));
         assert_eq!(t.lookup(&[1], true), None);
@@ -1299,7 +1572,6 @@ mod tests {
         t.insert_main(vec![1], vec![10]).unwrap();
         t.insert_main(vec![1, 0], vec![20]).unwrap();
         t.insert_main(vec![], vec![]).unwrap();
-        t.flush_layout();
         assert!(t.layout_active());
         assert_eq!(t.lookup(&[1], false), Some(vec![10]));
         assert_eq!(t.lookup(&[1, 0], false), Some(vec![20]));

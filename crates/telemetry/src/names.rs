@@ -114,7 +114,10 @@ pub const PLAN_EXPR_FUSED: &str = "gallium.switchsim.plan.expr.fused";
 /// Dead micro-ops and metadata stores eliminated at plan build.
 pub const PLAN_EXPR_DEAD_OPS: &str = "gallium.switchsim.plan.expr.dead_ops";
 
-/// Perfect-hash read-layout rebuilds across all tables.
+/// Full perfect-hash read-layout builds across all tables: growth,
+/// value-pool compaction, or a failed re-displacement (and the delete of a
+/// table's last spilled key). Ordinary control-plane writes update the
+/// layout in place and do not count here.
 pub const TABLE_REBUILDS: &str = "gallium.switchsim.table.rebuilds";
 /// Exact-match probes served by the perfect-hash read layout across all
 /// tables.

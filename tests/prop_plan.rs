@@ -383,14 +383,14 @@ proptest! {
         prop_assert!(bat.replicated_consistent(), "batch replicated state");
     }
 
-    /// The PR 10 read-optimized layout: a plain (non-cache) table serving
+    /// The read-optimized layout: a plain (non-cache) table serving
     /// exact-match lookups through the hash-and-displace perfect-hash
-    /// layout — with its delta overlay, epoch tracking, and incremental
-    /// rebuilds — must stay bit-identical to a `HashMap` model under
-    /// random insert/delete/lookup/flush interleavings. Widths 1..=6
-    /// exercise both the inline fast path and the spilled fallback that
-    /// deactivates the layout (and its reactivation once the spilled key
-    /// is deleted and the layout rebuilt).
+    /// layout — updated in place by every write, re-displacing one bucket
+    /// at a time and building in full only on growth or compaction — must
+    /// stay bit-identical to a `HashMap` model under random
+    /// insert/delete/lookup/sweep interleavings. Widths 1..=6 exercise both
+    /// the inline fast path and the spilled fallback that switches the
+    /// layout off (and back on at the delete of the last spilled key).
     #[test]
     fn perfect_hash_layout_equals_map_model(
         ops in proptest::collection::vec(
@@ -434,39 +434,34 @@ proptest! {
                     model.remove(key);
                 }
                 _ => {
-                    // Force a rebuild mid-stream: afterwards the layout
-                    // serves iff every resident key fits inline, and the
-                    // delta overlay is folded in either way.
-                    table.flush_layout();
-                    let all_inline = model
-                        .keys()
-                        .all(|k| k.len() <= gallium::switchsim::INLINE_KEY_WORDS);
-                    prop_assert_eq!(
-                        table.layout_active(),
-                        all_inline,
-                        "op {}: layout activity", i
-                    );
-                    prop_assert_eq!(table.pending_delta(), 0, "op {}: delta folded", i);
+                    // Full sweep: every resident key hits, and a displaced
+                    // absent twin of each misses, bit-identically.
+                    for (k, v) in &model {
+                        prop_assert_eq!(
+                            table.lookup_ref(k, false),
+                            Some(v.as_slice()),
+                            "op {}: hit sweep", i
+                        );
+                        let mut absent = k.clone();
+                        absent[0] ^= 0x8000_0000_0000_0000;
+                        prop_assert_eq!(
+                            table.lookup_ref(&absent, false),
+                            model.get(&absent).map(Vec::as_slice),
+                            "op {}: miss sweep", i
+                        );
+                    }
                 }
             }
+            // The layout serves iff every resident key fits inline.
+            let all_inline = model
+                .keys()
+                .all(|k| k.len() <= gallium::switchsim::INLINE_KEY_WORDS);
+            prop_assert_eq!(table.layout_active(), all_inline, "op {}: layout activity", i);
             prop_assert_eq!(table.len(), model.len(), "op {}: len", i);
         }
 
-        // Final rebuild, then a full sweep: every resident key and a
-        // displaced probe set of absent keys must answer bit-identically
-        // through the freshly built layout.
-        table.flush_layout();
         for (k, v) in &model {
             prop_assert_eq!(table.lookup_ref(k, false), Some(v.as_slice()), "final hit sweep");
-        }
-        for k in model.keys() {
-            let mut absent = k.clone();
-            absent[0] ^= 0x8000_0000_0000_0000;
-            prop_assert_eq!(
-                table.lookup_ref(&absent, false),
-                model.get(&absent).map(Vec::as_slice),
-                "final miss sweep"
-            );
         }
         let got: Vec<_> = table.entries();
         let mut want: Vec<_> = model.into_iter().collect();
@@ -474,10 +469,59 @@ proptest! {
         prop_assert_eq!(got, want, "final entry sets");
     }
 
-    /// Cache mode (§7): a 2-entry FIFO cache on the LB connection table.
-    /// Any stream with ≥3 distinct flows thrashes it, exercising eviction
-    /// on the control-plane fill path and cache-miss→replay on the data
-    /// path — both must match the interpreter event for event.
+    /// Steady-size churn — about 64 live keys, 5000 random inserts of new
+    /// keys and deletes of resident ones — is served in place: full layout
+    /// builds stay at or below 1 % of the writes, and every lookup agrees
+    /// with the model throughout.
+    #[test]
+    fn steady_churn_rarely_rebuilds_the_layout(seed in any::<u64>()) {
+        use std::collections::HashMap;
+
+        const LIVE: usize = 64;
+        const WRITES: usize = 5000;
+        let mut x = seed | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut table = gallium::switchsim::RtTable::new(4 * LIVE);
+        let mut model: HashMap<Vec<u64>, Vec<u64>> = HashMap::new();
+        let mut resident: Vec<Vec<u64>> = Vec::new();
+        for w in 0..WRITES {
+            // Insert a new key or delete a resident one at random, keeping
+            // the live count within 8 of LIVE once filled.
+            if resident.len() < LIVE - 8 || (resident.len() < LIVE && next() % 2 == 0) {
+                let key = vec![next(), next() % 4];
+                let value = vec![next() % 1000];
+                table.insert_main(key.clone(), value.clone()).expect("below capacity");
+                if model.insert(key.clone(), value).is_none() {
+                    resident.push(key);
+                }
+            } else {
+                let key = resident.swap_remove((next() % resident.len() as u64) as usize);
+                table.delete_main(&key);
+                model.remove(&key);
+            }
+            if w % 97 == 0 {
+                for (k, v) in &model {
+                    prop_assert_eq!(table.lookup_ref(k, false), Some(v.as_slice()), "write {}", w);
+                }
+            }
+        }
+        prop_assert!(table.layout_active());
+        prop_assert_eq!(table.len(), model.len());
+        for (k, v) in &model {
+            prop_assert_eq!(table.lookup_ref(k, false), Some(v.as_slice()), "final sweep");
+        }
+        let rebuilds = table.stats.rebuilds.get();
+        prop_assert!(
+            rebuilds * 100 <= WRITES as u64,
+            "{} full builds for {} writes", rebuilds, WRITES
+        );
+    }
+
     #[test]
     fn lb_cached_eviction_and_replay(descs in stream(60)) {
         let l = lb::load_balancer();
