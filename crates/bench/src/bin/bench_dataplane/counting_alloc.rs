@@ -1,8 +1,8 @@
-//! Counting global allocator shared by the `bench_pr*` bins, so their
-//! zero-alloc claims are measured in-process rather than asserted.
+//! Counting global allocator for `bench_dataplane`, so its zero-alloc
+//! gates are measured in-process rather than asserted.
 //!
-//! Each bin includes this file with `#[path]` (the library crate forbids
-//! `unsafe`, which a `GlobalAlloc` impl needs). Only allocations — not
+//! It lives in the bin, not the library crate, because the library forbids
+//! `unsafe`, which a `GlobalAlloc` impl needs. Only allocations — not
 //! frees — are counted: dropping consumed packets is fine, *acquiring*
 //! memory on the warm path is not. The count is per thread and armed only
 //! inside [`count`], so work on other threads never lands in a measured

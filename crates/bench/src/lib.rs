@@ -14,6 +14,8 @@
 //! | `ablation_costmodel` | §7 cost-model discussion — lookup-weighted vs count-maximizing |
 //! | `ablation_sync` | §4.3.3 — atomic update vs naive immediate writes |
 //! | `ablation_constraints` | §4.2.2 — offload vs switch-resource sweep |
+//! | `bench_pr2` | compile-time and telemetry-primitive perf baseline |
+//! | `bench_dataplane` | §6 fast path — plan vs interpreter, zero-alloc drains, register IR, table layout, tracing; exits 1 if a gate fails |
 //!
 //! plus two Criterion suites (`cargo bench`): `compiler` (dependency
 //! extraction, labeling, end-to-end compilation) and `dataplane`

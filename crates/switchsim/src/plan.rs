@@ -35,7 +35,7 @@
 //!   scratch buffer directly instead of going through name-keyed maps.
 //!
 //! Equivalence with the AST interpreter in [`crate::switch`] is enforced
-//! by the differential suites (`tests/prop_plan.rs`, `bench_pr8`): both
+//! by the differential suites (`tests/prop_plan.rs`, `bench_dataplane`): both
 //! paths share `BinOp::eval`, `hash_values`, header field access, and the
 //! table runtime, and the lowering preserves statement order, branch
 //! semantics (missing metadata reads as zero), and foreign-work tracking.

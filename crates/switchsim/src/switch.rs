@@ -96,8 +96,10 @@ pub struct SwitchStats {
     /// Together with [`SwitchStats::drop_malformed`] this partitions
     /// [`SwitchStats::dropped`] — every switch drop has exactly one reason.
     pub drop_marked: u64,
-    /// Drop attribution: server-origin frames that failed encapsulation
-    /// sanity checks.
+    /// Drop attribution: frames that cannot cross the switch/server
+    /// boundary — server-origin frames that failed encapsulation sanity
+    /// checks, and server-bound network frames too short for an Ethernet
+    /// header or already carrying the Gallium EtherType.
     pub drop_malformed: u64,
 }
 
@@ -447,16 +449,7 @@ impl Switch {
                 .detach_with(&mut pkt, |i, _, v| meta[usize::from(slots[i])] = v)
             else {
                 // Malformed encapsulation: drop, as hardware would.
-                stats.dropped += 1;
-                stats.drop_malformed += 1;
-                if let Some((t, id)) = trace {
-                    t.emit(
-                        id,
-                        Hop::SwitchPost,
-                        EventKind::Drop,
-                        DropReason::SwitchMalformedEncap as u64,
-                    );
-                }
+                drop_malformed(stats, trace, Hop::SwitchPost);
                 return;
             };
             if flags & FLAG_PASSTHROUGH != 0 {
@@ -501,11 +494,16 @@ impl Switch {
             if run.cache_missed {
                 out.truncate(mark);
                 stats.cache_misses += 1;
-                stats.to_server += 1;
                 let mut orig = pristine.expect("pristine kept in cache mode");
-                prog.header_to_server
+                if prog
+                    .header_to_server
                     .attach_with(&mut orig, FLAG_TO_SERVER | FLAG_CACHE_MISS, |_, _| 0)
-                    .expect("plain frame");
+                    .is_err()
+                {
+                    drop_malformed(stats, trace, Hop::SwitchPre);
+                    return;
+                }
+                stats.to_server += 1;
                 if let Some((t, id)) = trace {
                     t.emit(id, Hop::Transfer, EventKind::ToServer, orig.len() as u64);
                 }
@@ -513,12 +511,17 @@ impl Switch {
                 return;
             }
             if run.saw_foreign {
-                stats.to_server += 1;
                 let meta = &scratch.meta;
                 let slots = &plan.to_server_slots;
-                prog.header_to_server
+                if prog
+                    .header_to_server
                     .attach_with(&mut pkt, FLAG_TO_SERVER, |i, _| meta[usize::from(slots[i])])
-                    .expect("plain frame");
+                    .is_err()
+                {
+                    drop_malformed(stats, trace, Hop::SwitchPre);
+                    return;
+                }
+                stats.to_server += 1;
                 if let Some((t, id)) = trace {
                     t.emit(id, Hop::Transfer, EventKind::ToServer, pkt.len() as u64);
                 }
@@ -554,16 +557,7 @@ impl Switch {
             stats.rx_server += 1;
             let Ok((flags, values)) = prog.header_to_switch.detach(&mut pkt) else {
                 // Malformed encapsulation: drop, as hardware would.
-                stats.dropped += 1;
-                stats.drop_malformed += 1;
-                if let Some((t, id)) = trace {
-                    t.emit(
-                        id,
-                        Hop::SwitchPost,
-                        EventKind::Drop,
-                        DropReason::SwitchMalformedEncap as u64,
-                    );
-                }
+                drop_malformed(stats, trace, Hop::SwitchPost);
                 return;
             };
             if flags & FLAG_PASSTHROUGH != 0 {
@@ -615,15 +609,20 @@ impl Switch {
             if *cache_missed {
                 out.truncate(mark);
                 stats.cache_misses += 1;
-                stats.to_server += 1;
                 let mut orig = pristine.expect("pristine kept in cache mode");
-                prog.header_to_server
+                if prog
+                    .header_to_server
                     .attach(
                         &mut orig,
                         FLAG_TO_SERVER | FLAG_CACHE_MISS,
                         &TransferValues::default(),
                     )
-                    .expect("plain frame");
+                    .is_err()
+                {
+                    drop_malformed(stats, trace, Hop::SwitchPre);
+                    return;
+                }
+                stats.to_server += 1;
                 if let Some((t, id)) = trace {
                     t.emit(id, Hop::Transfer, EventKind::ToServer, orig.len() as u64);
                 }
@@ -631,12 +630,17 @@ impl Switch {
                 return;
             }
             if needs_server {
-                stats.to_server += 1;
-                prog.header_to_server
+                if prog
+                    .header_to_server
                     .attach_with(&mut pkt, FLAG_TO_SERVER, |_, f| {
                         meta.get(&f.name).copied().unwrap_or(0)
                     })
-                    .expect("plain frame");
+                    .is_err()
+                {
+                    drop_malformed(stats, trace, Hop::SwitchPre);
+                    return;
+                }
+                stats.to_server += 1;
                 if let Some((t, id)) = trace {
                     t.emit(id, Hop::Transfer, EventKind::ToServer, pkt.len() as u64);
                 }
@@ -662,6 +666,26 @@ struct InterpCtx<'a> {
     trace: Option<(&'a Tracer, u32, Hop)>,
     stats: &'a mut SwitchStats,
     cache_missed: &'a mut bool,
+}
+
+/// Drop a frame that cannot cross the switch/server boundary: a
+/// server-origin frame without a valid transfer header, or a server-bound
+/// network frame the transfer header cannot be attached to (shorter than
+/// an Ethernet header, or already carrying the Gallium EtherType). Counted
+/// under exactly one reason, [`SwitchStats::drop_malformed`]. Cold: kept
+/// out of line so the packet paths stay compact.
+#[cold]
+fn drop_malformed(stats: &mut SwitchStats, trace: Option<(&Tracer, u32)>, hop: Hop) {
+    stats.dropped += 1;
+    stats.drop_malformed += 1;
+    if let Some((t, id)) = trace {
+        t.emit(
+            id,
+            hop,
+            EventKind::Drop,
+            DropReason::SwitchMalformedEncap as u64,
+        );
+    }
 }
 
 /// Walk one traversal of `prog` (pre or post). Emitted packets are

@@ -51,7 +51,9 @@ pub const STAGE_REINJECT_NS: &str = "gallium.core.deployment.stage.reinject_ns";
 
 /// Program executed an explicit drop on the switch.
 pub const DROP_SWITCH_MARKED: &str = "gallium.switchsim.switch.drop.marked";
-/// Server-origin frame failed encapsulation sanity checks.
+/// Frame failed Gallium encapsulation on the switch (server-origin frame
+/// without a valid transfer header, or a server-bound runt / already
+/// Gallium-encapsulated network frame).
 pub const DROP_SWITCH_MALFORMED_ENCAP: &str = "gallium.switchsim.switch.drop.malformed_encap";
 /// Program executed an explicit drop on the server.
 pub const DROP_SERVER_PROGRAM: &str = "gallium.server.drop.program";

@@ -165,7 +165,10 @@ impl EventKind {
 pub enum DropReason {
     /// The program executed an explicit drop action on the switch.
     SwitchMarked = 0,
-    /// A server-origin frame failed encapsulation sanity checks.
+    /// A frame failed Gallium encapsulation on the switch: a server-origin
+    /// frame without a valid transfer header, or a server-bound network
+    /// frame shorter than an Ethernet header or already carrying the
+    /// Gallium EtherType.
     SwitchMalformedEncap = 1,
     /// The program executed an explicit drop action on the server.
     ServerProgram = 2,

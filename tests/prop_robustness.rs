@@ -5,6 +5,7 @@
 
 use gallium::mir::types::mask_to_width;
 use gallium::mir::{parser::parse_program, printer::print_program, BinOp};
+use gallium::net::GALLIUM_ETHERTYPE;
 use gallium::prelude::*;
 use proptest::prelude::*;
 
@@ -197,22 +198,96 @@ proptest! {
         }
     }
 
-    /// Garbage frames (random bytes, random ingress) must never panic the
-    /// deployed pipeline — they parse as best-effort and flow through or
-    /// get dropped.
+    /// Garbage frames (random bytes, random ingress, runts down to the
+    /// empty frame, frames already carrying the Gallium EtherType) must
+    /// never panic the deployed pipeline on either engine, and each one is
+    /// either emitted or counted under exactly one `drop.*` reason.
     #[test]
-    fn switch_survives_garbage_frames(data in proptest::collection::vec(any::<u8>(), 14..200),
+    fn switch_survives_garbage_frames(data in proptest::collection::vec(any::<u8>(), 0..200),
+                                      gallium_ethertype in any::<bool>(),
                                       ingress in any::<u16>()) {
         let lb = gallium::middleboxes::minilb::minilb();
         let compiled = compile(&lb.prog, &SwitchModel::tofino_like()).unwrap();
-        let mut d = Deployment::new(&compiled, SwitchConfig::default(),
-                                    CostModel::calibrated()).unwrap();
-        let backends = lb.backends;
-        d.configure(|s| { s.vec_set_all(backends, vec![1]).unwrap(); }).unwrap();
-        let pkt = Packet::from_vec(data, PortId(ingress));
-        // Frames "from the server" without a valid transfer header are
-        // dropped; network frames always process.
-        let _ = d.inject(pkt);
+        let mut data = data;
+        if gallium_ethertype && data.len() >= 14 {
+            data[12..14].copy_from_slice(&GALLIUM_ETHERTYPE.to_be_bytes());
+        }
+        for mut d in engines(&compiled) {
+            let backends = lb.backends;
+            d.configure(|s| { s.vec_set_all(backends, vec![1]).unwrap(); }).unwrap();
+            let pkt = Packet::from_vec(data.clone(), PortId(ingress));
+            let (emitted, drops) = inject_accounted(&mut d, pkt);
+            prop_assert!(
+                (emitted > 0 && drops == 0) || (emitted == 0 && drops == 1),
+                "{} B frame on port {ingress}: {emitted} emissions, {drops} drop counts",
+                data.len()
+            );
+        }
+    }
+}
+
+/// The compiled-plan deployment and the reference-interpreter deployment
+/// of the same compiled middlebox.
+fn engines(compiled: &gallium::core::CompiledMiddlebox) -> [Deployment; 2] {
+    [
+        Deployment::new(compiled, SwitchConfig::default(), CostModel::calibrated()).unwrap(),
+        Deployment::new_interpreter(compiled, SwitchConfig::default(), CostModel::calibrated())
+            .unwrap(),
+    ]
+}
+
+/// Inject `pkt`; returns its emission count and how far the sum of every
+/// `drop.*` counter in the deployment's snapshot moved.
+fn inject_accounted(d: &mut Deployment, pkt: Packet) -> (usize, u64) {
+    let drops = |d: &Deployment| -> u64 {
+        let snap = d.telemetry_snapshot();
+        snap.counters
+            .iter()
+            .filter(|(k, _)| k.contains(".drop."))
+            .map(|(_, v)| v)
+            .sum()
+    };
+    let before = drops(d);
+    let emitted = d.inject(pkt).map_or(0, |e| e.len());
+    (emitted, drops(d) - before)
+}
+
+/// Network frames the transfer header cannot be attached to — an empty
+/// frame, a 10 B runt, and a MazuNAT SYN already carrying the Gallium
+/// EtherType — are dropped as `drop.malformed_encap` by both engines.
+#[test]
+fn server_bound_malformed_frames_drop_as_malformed_encap() {
+    use gallium::middleboxes::{mazunat, INTERNAL_PORT};
+    let nat = mazunat::mazunat();
+    let compiled = compile(&nat.prog, &SwitchModel::tofino_like()).unwrap();
+    let mut syn = PacketBuilder::tcp(
+        FiveTuple {
+            saddr: 0x0A00_0009,
+            daddr: 0x0808_0404,
+            sport: 50_123,
+            dport: 443,
+            proto: IpProtocol::Tcp,
+        },
+        TcpFlags(TcpFlags::SYN),
+        200,
+    )
+    .build(PortId(INTERNAL_PORT));
+    syn.bytes_mut()[12..14].copy_from_slice(&GALLIUM_ETHERTYPE.to_be_bytes());
+    let frames = [
+        ("empty", Packet::from_vec(Vec::new(), PortId(INTERNAL_PORT))),
+        (
+            "10 B",
+            Packet::from_vec(vec![0xAB; 10], PortId(INTERNAL_PORT)),
+        ),
+        ("0x88B5 SYN", syn),
+    ];
+    for (name, frame) in frames {
+        for mut d in engines(&compiled) {
+            let (emitted, drops) = inject_accounted(&mut d, frame.clone());
+            assert_eq!((emitted, drops), (0, 1), "{name}");
+            assert_eq!(d.switch.stats.drop_malformed, 1, "{name}");
+            assert_eq!(d.switch.stats.to_server, 0, "{name}");
+        }
     }
 }
 
